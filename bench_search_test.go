@@ -16,38 +16,32 @@ import (
 
 // BenchmarkSearchEpisodes runs the paper's full 1000-episode QS-DNN
 // search on the AlexNet GPGPU table once per iteration — the
-// episodes/sec headline of the zero-alloc engine work. The default
-// sub-benchmark is the byte-identical serial replay; batched flips
-// qlearn.Config.BatchedReplay, trading the serial ordering for the
-// wave scheme (deterministic, own goldens, ~2x the episode rate).
+// episodes/sec headline of the zero-alloc engine work. The single
+// sub-benchmark keeps its "default" name so benchstat pairs it with
+// older records.
 func BenchmarkSearchEpisodes(b *testing.B) {
 	tab := benchTable(b, "alexnet", primitives.ModeGPGPU)
-	for _, bc := range []struct {
-		name    string
-		batched bool
-	}{{"default", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := core.Config{Episodes: 1000, Seed: 1}
-			cfg.Agent.BatchedReplay = bc.batched
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = core.Search(tab, cfg)
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(b.N)*float64(cfg.Episodes)/sec, "episodes/s")
-			}
-			b.ReportMetric(res.Time*1e3, "ms_best")
-		})
-	}
+	b.Run("default", func(b *testing.B) {
+		cfg := core.Config{Episodes: 1000, Seed: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var res *core.Result
+		for i := 0; i < b.N; i++ {
+			res = core.Search(tab, cfg)
+		}
+		b.StopTimer()
+		sec := b.Elapsed().Seconds()
+		if sec > 0 {
+			b.ReportMetric(float64(b.N)*float64(cfg.Episodes)/sec, "episodes/s")
+		}
+		b.ReportMetric(res.Time*1e3, "ms_best")
+	})
 }
 
 // BenchmarkReplayInto measures the replay loop in isolation: one full
 // replay pass (128 sampled episodes re-applied to the Q-table) per
-// iteration, at AlexNet-like dimensions.
+// iteration, at AlexNet-like dimensions. The sub-benchmark keeps its
+// "default" name so benchstat pairs it with older records.
 func BenchmarkReplayInto(b *testing.B) {
 	const steps, prims, epLen, capacity = 16, 24, 15, 128
 	rng := rand.New(rand.NewSource(1))
@@ -72,20 +66,13 @@ func BenchmarkReplayInto(b *testing.B) {
 		}
 		replay.Add(traj)
 	}
-	for _, bc := range []struct {
-		name    string
-		batched bool
-	}{{"default", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := cfg
-			cfg.BatchedReplay = bc.batched
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				replay.ReplayInto(q, cfg, capacity, rng)
-			}
-		})
-	}
+	b.Run("default", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			replay.ReplayInto(q, cfg, capacity, rng)
+		}
+	})
 }
 
 // BenchmarkPlanTotalTime measures one full-assignment evaluation on

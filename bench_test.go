@@ -572,19 +572,3 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSearchEnsemble measures the 5-seed ensemble protocol of
-// Fig. 5 and reports the spread across seeds.
-func BenchmarkSearchEnsemble(b *testing.B) {
-	tab := benchTable(b, "mobilenet-v1", primitives.ModeGPGPU)
-	var stats *core.EnsembleStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		stats, err = core.SearchEnsemble(tab, core.Config{Episodes: 350, Seed: 1}, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(stats.Mean*1e3, "ms_mean")
-	b.ReportMetric(stats.Std*1e3, "ms_std")
-}

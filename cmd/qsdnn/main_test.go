@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/gemm"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -51,6 +53,28 @@ func TestModelsCommand(t *testing.T) {
 			t.Errorf("models output missing %q", want)
 		}
 	}
+}
+
+// TestVersionCommand pins the line scripts/bench.sh reads the
+// gemm_kernel record header from: its value must be exactly the
+// dispatched kernel, as /statusz and the tuner record report it.
+func TestVersionCommand(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run("version", "", "gpgpu", fastEpisodes, fastSamples, 1, "", "tx2-like", 1, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "gemm kernel: " + gemm.ActiveKernel()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "gemm kernel: ") {
+			if line != want {
+				t.Errorf("version prints %q, want %q", line, want)
+			}
+			return
+		}
+	}
+	t.Errorf("version output has no gemm kernel line:\n%s", out)
 }
 
 func TestPlatformsCommand(t *testing.T) {

@@ -49,12 +49,8 @@ func (c Config) withDefaults() Config {
 	if c.Episodes == 0 {
 		c.Episodes = 1000
 	}
-	// BatchedReplay is a pure replay-ordering switch, not a
-	// hyper-parameter: setting it alone still gets the paper's α/γ/size.
-	if c.Agent == (qlearn.Config{BatchedReplay: c.Agent.BatchedReplay}) {
-		batched := c.Agent.BatchedReplay
+	if c.Agent == (qlearn.Config{}) {
 		c.Agent = qlearn.PaperConfig()
-		c.Agent.BatchedReplay = batched
 	}
 	if c.Schedule == nil {
 		c.Schedule = qlearn.PaperSchedule(c.Episodes)
@@ -99,8 +95,8 @@ func newSearchRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed))
 
 // Search runs QS-DNN (Algorithm 1) over a profiled look-up table. It
 // compiles the table into an evaluation plan first; callers that run
-// many searches over one table (the batch runner, ensembles) compile
-// once and use SearchPlanned directly.
+// many searches over one table (the batch runner) compile once and use
+// SearchPlanned directly.
 func Search(tab *lut.Table, cfg Config) *Result {
 	return SearchPlanned(searchplan.Compile(tab), cfg)
 }
@@ -130,16 +126,12 @@ func SearchPlanned(p *searchplan.Plan, cfg Config) *Result {
 }
 
 // RandomSearch evaluates the given number of uniformly random
-// configurations — the RS baseline of §VI-B.
-func RandomSearch(tab *lut.Table, episodes int, seed int64) *Result {
-	return RandomSearchPlanned(searchplan.Compile(tab), episodes, seed)
-}
-
-// RandomSearchPlanned is RandomSearch over a pre-compiled plan. A
-// uniform draw over candidates *is* a uniform draw over candidate
-// positions, so the whole loop runs on positions and converts the
+// configurations — the RS baseline of §VI-B. A uniform draw over
+// candidates *is* a uniform draw over candidate positions, so the
+// whole loop runs on positions of the compiled plan and converts the
 // winner to primitive IDs once at the end.
-func RandomSearchPlanned(p *searchplan.Plan, episodes int, seed int64) *Result {
+func RandomSearch(tab *lut.Table, episodes int, seed int64) *Result {
+	p := searchplan.Compile(tab)
 	rng := rand.New(rand.NewSource(seed))
 	L := p.NumLayers()
 	apos := make([]int32, L)
@@ -172,11 +164,7 @@ func RandomSearchPlanned(p *searchplan.Plan, episodes int, seed int64) *Result {
 // penalties — the locally-optimal "red path" of the paper's Fig. 1
 // that the RL agent learns to avoid.
 func Greedy(tab *lut.Table) *Result {
-	return GreedyPlanned(searchplan.Compile(tab))
-}
-
-// GreedyPlanned is Greedy over a pre-compiled plan.
-func GreedyPlanned(p *searchplan.Plan) *Result {
+	p := searchplan.Compile(tab)
 	L := p.NumLayers()
 	apos := make([]int32, L)
 	for i := 1; i < L; i++ {
@@ -196,17 +184,11 @@ func GreedyPlanned(p *searchplan.Plan) *Result {
 // networks with Viterbi dynamic programming over (layer, primitive)
 // states. It returns an error for non-chain tables (an edge whose
 // producer is not the sequential predecessor), where the chain DP is
-// not exact.
+// not exact. The DP runs on the compiled plan's dense
+// candidate-position vectors, so cost ties break deterministically
+// toward the earlier candidate.
 func Optimal(tab *lut.Table) (*Result, error) {
-	return OptimalPlanned(searchplan.Compile(tab))
-}
-
-// OptimalPlanned is Optimal over a pre-compiled plan: the DP runs on
-// dense candidate-position vectors instead of maps, so cost ties now
-// break deterministically toward the earlier candidate (the map
-// version broke them by iteration order); the optimal cost itself is
-// unchanged.
-func OptimalPlanned(p *searchplan.Plan) (*Result, error) {
+	p := searchplan.Compile(tab)
 	L := p.NumLayers()
 	edgeInto := make([]int, L)
 	for i := range edgeInto {
@@ -262,15 +244,10 @@ func OptimalPlanned(p *searchplan.Plan) (*Result, error) {
 // Exhaustive enumerates every configuration and returns the true
 // optimum. It refuses design spaces larger than maxConfigs to keep
 // runtimes bounded; it exists to certify the other searches on small
-// networks.
+// networks. The walk enumerates the compiled plan's candidate
+// positions in the table's candidate order.
 func Exhaustive(tab *lut.Table, maxConfigs float64) (*Result, error) {
-	return ExhaustivePlanned(searchplan.Compile(tab), maxConfigs)
-}
-
-// ExhaustivePlanned is Exhaustive over a pre-compiled plan. The walk
-// enumerates candidate positions in the same order the table walk
-// enumerated candidate IDs, so the found optimum is identical.
-func ExhaustivePlanned(p *searchplan.Plan, maxConfigs float64) (*Result, error) {
+	p := searchplan.Compile(tab)
 	L := p.NumLayers()
 	space := 1.0
 	for i := 1; i < L; i++ {

@@ -329,3 +329,39 @@ func TestRandomSearchDeterministic(t *testing.T) {
 		t.Error("random search should be seed-deterministic")
 	}
 }
+
+// TestConfigWithDefaults pins the agent defaulting rule: only a zero
+// Agent becomes the paper's α/γ/replay size; a partially set Agent is
+// kept exactly as given, and the replay-update count follows whichever
+// replay size results.
+func TestConfigWithDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		in          Config
+		wantAgent   qlearn.Config
+		wantUpdates int
+	}{
+		{"zero", Config{}, qlearn.PaperConfig(), 128},
+		{"replay size only", Config{Agent: qlearn.Config{ReplaySize: 16}}, qlearn.Config{ReplaySize: 16}, 16},
+		{"alpha only", Config{Agent: qlearn.Config{Alpha: 0.2}}, qlearn.Config{Alpha: 0.2}, 0},
+		{"full agent", Config{Agent: qlearn.Config{Alpha: 0.1, Gamma: 0.5, ReplaySize: 32}},
+			qlearn.Config{Alpha: 0.1, Gamma: 0.5, ReplaySize: 32}, 32},
+		{"explicit updates", Config{ReplayUpdates: 7}, qlearn.PaperConfig(), 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.in.withDefaults()
+			if got.Agent != tc.wantAgent {
+				t.Errorf("Agent = %+v, want %+v", got.Agent, tc.wantAgent)
+			}
+			if got.ReplayUpdates != tc.wantUpdates {
+				t.Errorf("ReplayUpdates = %d, want %d", got.ReplayUpdates, tc.wantUpdates)
+			}
+			if got.Episodes != 1000 {
+				t.Errorf("Episodes = %d, want 1000", got.Episodes)
+			}
+			if n := qlearn.ScheduleEpisodes(got.Schedule); n != got.Episodes {
+				t.Errorf("schedule covers %d episodes, want %d", n, got.Episodes)
+			}
+		})
+	}
+}

@@ -83,53 +83,6 @@ func TestSearchesNeverBeatOptimalProperty(t *testing.T) {
 	}
 }
 
-// TestEnsembleMatchesIndividualSeeds: SearchEnsemble (which fans out
-// on the shared pool) must report exactly the per-seed results a
-// sequential loop produces.
-func TestEnsembleMatchesIndividualSeeds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab := randomChainTable(rng, 5)
-	const n = 6
-	cfg := Config{Episodes: 120, Seed: 10}
-	stats, err := SearchEnsemble(tab, cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []float64
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		want = append(want, Search(tab, c).Time)
-	}
-	// stats.Times is sorted; compare as multisets via sorted copies.
-	got := append([]float64(nil), stats.Times...)
-	wantSorted := append([]float64(nil), want...)
-	sortFloats(got)
-	sortFloats(wantSorted)
-	for i := range got {
-		if got[i] != wantSorted[i] {
-			t.Fatalf("ensemble times %v != sequential times %v", stats.Times, wantSorted)
-		}
-	}
-	best := math.Inf(1)
-	for _, w := range want {
-		if w < best {
-			best = w
-		}
-	}
-	if stats.Best.Time != best {
-		t.Errorf("ensemble best %v, sequential best %v", stats.Best.Time, best)
-	}
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-}
-
 // TestConcurrentSearchSharedTable: core.Search is a pure function of
 // (table, config); 8 goroutines searching one shared *lut.Table with
 // the same config must all return the result the sequential call

@@ -1,23 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/lut"
-	"repro/internal/pool"
 	"repro/internal/primitives"
 	"repro/internal/qlearn"
-	"repro/internal/searchplan"
 )
 
 // Alternative exploration policies — the paper uses ε-greedy (following
 // Baker et al.) and names richer exploration among the things to try;
-// this file provides a Boltzmann (softmax) policy for comparison, plus
-// a multi-seed ensemble runner matching the "mean of 5 full
-// experiments" protocol of Fig. 5.
+// this file provides a Boltzmann (softmax) policy for comparison.
 
 // Policy selects an action given the Q-values of the allowed actions.
 type Policy interface {
@@ -162,53 +156,4 @@ func SearchWithPolicy(tab *lut.Table, cfg Config, policy Policy) *Result {
 		})
 	}
 	return best
-}
-
-// EnsembleStats summarizes a multi-seed ensemble run.
-type EnsembleStats struct {
-	// Best is the overall best result across seeds.
-	Best *Result
-	// Mean and Std summarize the per-seed best times.
-	Mean, Std float64
-	// Times lists each seed's best time, sorted ascending.
-	Times []float64
-}
-
-// SearchEnsemble runs n independent searches with consecutive seeds
-// concurrently (the search is CPU-bound and seeds are independent) and
-// aggregates them — the Fig. 5 protocol of averaging complete
-// experiments. The table is compiled into an evaluation plan once and
-// shared read-only by every seed. The fan-out goes through the bounded
-// shared worker pool rather than one goroutine per seed, so large
-// ensembles cannot oversubscribe the host; aggregation walks seeds in
-// order, keeping the stats independent of completion order.
-func SearchEnsemble(tab *lut.Table, cfg Config, n int) (*EnsembleStats, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: ensemble size %d", n)
-	}
-	plan := searchplan.Compile(tab)
-	results := make([]*Result, n)
-	pool.Run(n, pool.DefaultWorkers(), func(i int) {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		results[i] = SearchPlanned(plan, c)
-	})
-	stats := &EnsembleStats{Best: results[0]}
-	for _, r := range results {
-		stats.Times = append(stats.Times, r.Time)
-		if r.Time < stats.Best.Time {
-			stats.Best = r
-		}
-	}
-	sort.Float64s(stats.Times)
-	var sum float64
-	for _, t := range stats.Times {
-		sum += t
-	}
-	stats.Mean = sum / float64(n)
-	for _, t := range stats.Times {
-		stats.Std += (t - stats.Mean) * (t - stats.Mean)
-	}
-	stats.Std = math.Sqrt(stats.Std / float64(n))
-	return stats, nil
 }

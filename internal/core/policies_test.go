@@ -82,49 +82,3 @@ func TestBoltzmannSamplesProportionally(t *testing.T) {
 		t.Error("low-Q action should still be explored at T=0.5")
 	}
 }
-
-func TestSearchEnsemble(t *testing.T) {
-	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	stats, err := SearchEnsemble(tab, Config{Episodes: 200, Seed: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Times) != 5 {
-		t.Fatalf("times = %d", len(stats.Times))
-	}
-	// Sorted ascending, best equals the minimum, mean >= best.
-	for i := 1; i < 5; i++ {
-		if stats.Times[i] < stats.Times[i-1] {
-			t.Fatal("times not sorted")
-		}
-	}
-	if stats.Best.Time != stats.Times[0] {
-		t.Errorf("best %.6g != min %.6g", stats.Best.Time, stats.Times[0])
-	}
-	if stats.Mean < stats.Best.Time {
-		t.Error("mean below best")
-	}
-	if stats.Std < 0 {
-		t.Error("negative std")
-	}
-	if _, err := SearchEnsemble(tab, Config{Episodes: 10}, 0); err == nil {
-		t.Error("zero ensemble should error")
-	}
-}
-
-func TestSearchEnsembleDeterministic(t *testing.T) {
-	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	a, err := SearchEnsemble(tab, Config{Episodes: 150, Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SearchEnsemble(tab, Config{Episodes: 150, Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Times {
-		if a.Times[i] != b.Times[i] {
-			t.Fatal("ensemble should be deterministic despite concurrency")
-		}
-	}
-}

@@ -38,16 +38,29 @@ SRAW="${SRAW:-bench/latest_serve.txt}"
 
 mkdir -p "$(dirname "$RAW")"
 
-# The dispatched GEMM micro-kernel (ISA) the numbers were measured
-# with; recorded in every JSON so perf records from different hosts
-# (or QSDNN_DISABLE_SIMD runs) are never compared apples-to-oranges.
-KERNEL="$(go run ./cmd/qsdnn version | awk -F': ' '/^gemm kernel/ {print $2}')"
+# Host identity, recorded in the header of every JSON so perf records
+# from different hosts (or QSDNN_DISABLE_SIMD runs) are never compared
+# apples-to-oranges: the dispatched GEMM micro-kernel (everything after
+# the first ": " of the version line, so a value containing ": " stays
+# whole), Go version, online CPUs, GOMAXPROCS and the CPU model (empty
+# where /proc/cpuinfo has no model name, e.g. most arm64 hosts).
+# String values are JSON-escaped here, before awk sees them.
+json_escape() { sed 's/\\/\\\\/g; s/"/\\"/g'; }
+VERSION_OUT="$(go run ./cmd/qsdnn version)"
+GEMM_KERNEL="$(printf '%s\n' "$VERSION_OUT" | sed -n 's/^gemm kernel: //p' | json_escape)"
+GOMAXPROCS_USED="$(printf '%s\n' "$VERSION_OUT" | sed -n 's/^gomaxprocs: //p')"
+GO_VERSION="$(go env GOVERSION | json_escape)"
+NPROC="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+CPU_MODEL="$({ sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null || true; } | head -n 1 | json_escape)"
+export GEMM_KERNEL GOMAXPROCS_USED GO_VERSION NPROC CPU_MODEL
 
 # emit_json RAWFILE OUTFILE: reduce benchmark text to one JSON object
 # per benchmark. Averages over COUNT repetitions; carries every
-# reported metric through. The header records the dispatched kernel.
+# reported metric through. The header records the host identity above
+# (read through ENVIRON, which unlike awk -v applies no escape
+# processing).
 emit_json() {
-    awk -v out="$2" -v kern="$KERNEL" '
+    awk -v out="$2" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -63,7 +76,12 @@ emit_json() {
     if (!(name in order_seen)) { order[++no] = name; order_seen[name] = 1 }
 }
 END {
-    printf "{\n  \"gemm_kernel\": \"%s\",\n  \"benchmarks\": [\n", kern > out
+    printf "{\n  \"gemm_kernel\": \"%s\",\n", ENVIRON["GEMM_KERNEL"] > out
+    printf "  \"go_version\": \"%s\",\n", ENVIRON["GO_VERSION"] >> out
+    printf "  \"nproc\": %d,\n", ENVIRON["NPROC"] >> out
+    printf "  \"gomaxprocs\": %d,\n", ENVIRON["GOMAXPROCS_USED"] >> out
+    printf "  \"cpu_model\": \"%s\",\n", ENVIRON["CPU_MODEL"] >> out
+    printf "  \"benchmarks\": [\n" >> out
     for (b = 1; b <= no; b++) {
         name = order[b]
         printf "    {\"name\": \"%s\", \"count\": %d", name, n[name] >> out
