@@ -282,7 +282,8 @@ func BenchmarkAblationAlphaGamma(b *testing.B) {
 
 // BenchmarkConvKernels measures the real compute kernels on a
 // VGG-like 3x3 convolution — the concrete speed differences the
-// primitive registry abstracts.
+// primitive registry abstracts — plus the NHWC direct and depth-wise
+// kernels and the NCHW→NHWC conversion on the same tensor.
 func BenchmarkConvKernels(b *testing.B) {
 	in := tensor.New(tensor.Shape{N: 1, C: 32, H: 28, W: 28}, tensor.NCHW)
 	in.FillRandom(rand.New(rand.NewSource(1)), 1)
@@ -292,11 +293,16 @@ func BenchmarkConvKernels(b *testing.B) {
 		w[i] = rand.New(rand.NewSource(int64(i))).Float32()
 	}
 	bias := make([]float32, 32)
+	nhwc := in.ToLayout(tensor.NHWC)
+	dw := w[:32*9]
 	variants := []struct {
 		name string
 		run  func()
 	}{
 		{"direct", func() { kernels.ConvDirect(in, w, bias, p) }},
+		{"direct-nhwc", func() { kernels.ConvDirectNHWC(nhwc, w, bias, p) }},
+		{"depthwise-nhwc", func() { kernels.DepthwiseNHWC(nhwc, dw, bias, p) }},
+		{"to-nhwc", func() { in.ToLayout(tensor.NHWC) }},
 		{"im2col-naive", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Naive) }},
 		{"im2col-blocked", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Blocked) }},
 		{"im2col-packed", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Packed) }},

@@ -59,15 +59,16 @@ func fft(re, im []float64, inv bool) {
 	}
 }
 
-// fft2D transforms an n x n grid (row-major) in place.
-func fft2D(re, im []float64, n int, inv bool) {
+// fft2D transforms an n x n grid (row-major) in place. colRe and colIm
+// are n-long scratch lines the columns are gathered into; the caller
+// owns them so a worker reuses one pair across all its transforms.
+func fft2D(re, im []float64, n int, inv bool, colRe, colIm []float64) {
 	// Rows.
 	for r := 0; r < n; r++ {
 		fft(re[r*n:(r+1)*n], im[r*n:(r+1)*n], inv)
 	}
-	// Columns (gather/scatter through a scratch line).
-	colRe := make([]float64, n)
-	colIm := make([]float64, n)
+	// Columns (gather/scatter through the scratch line).
+	colRe, colIm = colRe[:n], colIm[:n]
 	for c := 0; c < n; c++ {
 		for r := 0; r < n; r++ {
 			colRe[r], colIm[r] = re[r*n+c], im[r*n+c]
@@ -98,9 +99,10 @@ func ConvFFT(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tens
 // ConvFFTPar is ConvFFT with the per-channel input transforms and the
 // per-output-channel frequency-domain accumulations partitioned across
 // workers goroutines. Input spectra are computed into exclusive slots
-// and shared read-only; each worker owns a contiguous output-channel
-// chunk (boundaries depend only on the shape and worker count) with its
-// own scratch grids, so results are bit-identical at any worker count.
+// and shared read-only; each worker owns a contiguous channel chunk
+// (boundaries depend only on the shape and worker count) with its own
+// scratch grids and column lines, so results are bit-identical at any
+// worker count.
 func ConvFFTPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvFFT requires NCHW input")
@@ -118,23 +120,29 @@ func ConvFFTPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers i
 	n := nextPow2(maxOf(s.H+2*p.PadH, s.W+2*p.PadW, os.H+p.KernelH, os.W+p.KernelW))
 	grid := n * n
 
+	hw, ohw := s.H*s.W, os.H*os.W
 	// Pre-transform every input channel once per sample.
 	for b := 0; b < s.N; b++ {
 		inRe := make([][]float64, s.C)
 		inIm := make([][]float64, s.C)
-		parFor(s.C, workers, func(c int) {
-			re := make([]float64, grid)
-			im := make([]float64, grid)
-			for h := 0; h < s.H; h++ {
-				for x := 0; x < s.W; x++ {
-					re[(h+p.PadH)*n+(x+p.PadW)] = float64(in.At(b, c, h, x))
+		parChunks(s.C, workers, func(lo, hi int) {
+			colRe, colIm := make([]float64, n), make([]float64, n)
+			for c := lo; c < hi; c++ {
+				xc := in.Data()[(b*s.C+c)*hw : (b*s.C+c+1)*hw]
+				re := make([]float64, grid)
+				im := make([]float64, grid)
+				for h := 0; h < s.H; h++ {
+					for x := 0; x < s.W; x++ {
+						re[(h+p.PadH)*n+(x+p.PadW)] = float64(xc[h*s.W+x])
+					}
 				}
+				fft2D(re, im, n, false, colRe, colIm)
+				inRe[c], inIm[c] = re, im
 			}
-			fft2D(re, im, n, false)
-			inRe[c], inIm[c] = re, im
 		})
 
 		parChunks(p.OutChannels, workers, func(lo, hi int) {
+			colRe, colIm := make([]float64, n), make([]float64, n)
 			kRe := make([]float64, grid)
 			kIm := make([]float64, grid)
 			accRe := make([]float64, grid)
@@ -157,17 +165,18 @@ func ConvFFTPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers i
 							kRe[rr*n+qq] = v
 						}
 					}
-					fft2D(kRe, kIm, n, false)
+					fft2D(kRe, kIm, n, false, colRe, colIm)
 					ir, ii := inRe[c], inIm[c]
 					for i := 0; i < grid; i++ {
 						accRe[i] += ir[i]*kRe[i] - ii[i]*kIm[i]
 						accIm[i] += ir[i]*kIm[i] + ii[i]*kRe[i]
 					}
 				}
-				fft2D(accRe, accIm, n, true)
+				fft2D(accRe, accIm, n, true, colRe, colIm)
+				plane := out.Data()[(b*p.OutChannels+oc)*ohw : (b*p.OutChannels+oc+1)*ohw]
 				for oh := 0; oh < os.H; oh++ {
 					for ow := 0; ow < os.W; ow++ {
-						out.Set(b, oc, oh, ow, float32(accRe[oh*n+ow])+bias[oc])
+						plane[oh*os.W+ow] = float32(accRe[oh*n+ow]) + bias[oc]
 					}
 				}
 			}

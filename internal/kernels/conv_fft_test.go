@@ -72,8 +72,9 @@ func TestFFT2DRoundTrip(t *testing.T) {
 		re[i] = rng.Float64()
 		orig[i] = re[i]
 	}
-	fft2D(re, im, n, false)
-	fft2D(re, im, n, true)
+	colRe, colIm := make([]float64, n), make([]float64, n)
+	fft2D(re, im, n, false, colRe, colIm)
+	fft2D(re, im, n, true, colRe, colIm)
 	for i := range re {
 		if math.Abs(re[i]-orig[i]) > 1e-9 {
 			t.Fatalf("2D round trip differs at %d", i)

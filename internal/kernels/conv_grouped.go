@@ -36,8 +36,10 @@ func ConvGroupedDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *t
 
 // ConvGroupedDirectPar is ConvGroupedDirect with the (sample,
 // output-channel) planes partitioned across workers goroutines (each
-// output channel reads only its own group's input block); results are
-// bit-identical at any worker count.
+// output channel reads only its own group's input block). Like
+// ConvDirectPar, each plane starts as its bias and accumulates its
+// group's channels in (c, r, q) order; results are bit-identical at any
+// worker count.
 func ConvGroupedDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvGroupedDirect requires NCHW input")
@@ -54,31 +56,18 @@ func ConvGroupedDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 	kArea := p.KernelH * p.KernelW
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
+	hw, ohw := s.H*s.W, os.H*os.W
+	x, y := in.Data(), out.Data()
 	parFor(s.N*p.OutChannels, workers, func(j int) {
 		n, oc := j/p.OutChannels, j%p.OutChannels
 		grp := oc / outPerG
 		wBase := oc * inPerG * kArea
-		for oh := 0; oh < os.H; oh++ {
-			for ow := 0; ow < os.W; ow++ {
-				sum := bias[oc]
-				for cLocal := 0; cLocal < inPerG; cLocal++ {
-					c := grp*inPerG + cLocal
-					for r := 0; r < p.KernelH; r++ {
-						ih := oh*p.StrideH + r - p.PadH
-						if ih < 0 || ih >= s.H {
-							continue
-						}
-						for q := 0; q < p.KernelW; q++ {
-							iw := ow*p.StrideW + q - p.PadW
-							if iw < 0 || iw >= s.W {
-								continue
-							}
-							sum += w[wBase+cLocal*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw)
-						}
-					}
-				}
-				out.Set(n, oc, oh, ow, sum)
-			}
+		plane := y[j*ohw : (j+1)*ohw]
+		fill(plane, bias[oc])
+		for cLocal := 0; cLocal < inPerG; cLocal++ {
+			c := n*s.C + grp*inPerG + cLocal
+			wk := w[wBase+cLocal*kArea : wBase+(cLocal+1)*kArea]
+			addTaps(plane, x[c*hw:(c+1)*hw], wk, s, os, p)
 		}
 	})
 	return out
@@ -89,14 +78,9 @@ func ConvGroupedDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 func sliceChannels(in *tensor.Tensor, from, to int) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(tensor.Shape{N: s.N, C: to - from, H: s.H, W: s.W}, tensor.NCHW)
+	hw, size := s.H*s.W, (to-from)*s.H*s.W
 	for n := 0; n < s.N; n++ {
-		for c := from; c < to; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c-from, h, w, in.At(n, c, h, w))
-				}
-			}
-		}
+		copy(out.Data()[n*size:(n+1)*size], in.Data()[(n*s.C+from)*hw:(n*s.C+to)*hw])
 	}
 	return out
 }

@@ -24,9 +24,12 @@ func Im2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) [
 	rows := s.C * p.KernelH * p.KernelW
 	cols := oh * ow
 	m := make([]float32, rows*cols)
+	hw := s.H * s.W
+	xs := in.Data()[n*s.C*hw : (n+1)*s.C*hw]
 	parFor(oh, workers, func(y int) {
 		row := 0
 		for c := 0; c < s.C; c++ {
+			xc := xs[c*hw : (c+1)*hw]
 			for r := 0; r < p.KernelH; r++ {
 				ih := y*p.StrideH + r - p.PadH
 				for q := 0; q < p.KernelW; q++ {
@@ -35,7 +38,7 @@ func Im2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) [
 						for x := 0; x < ow; x++ {
 							iw := x*p.StrideW + q - p.PadW
 							if iw >= 0 && iw < s.W {
-								m[base+x] = in.At(n, c, ih, iw)
+								m[base+x] = xc[ih*s.W+iw]
 							}
 						}
 					}
@@ -61,6 +64,8 @@ func Im2rowPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) [
 	s := in.Shape()
 	cols := s.C * p.KernelH * p.KernelW
 	m := make([]float32, oh*ow*cols)
+	hw := s.H * s.W
+	xs := in.Data()[n*s.C*hw : (n+1)*s.C*hw]
 	parFor(oh, workers, func(y int) {
 		patch := y * ow
 		for x := 0; x < ow; x++ {
@@ -72,7 +77,7 @@ func Im2rowPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) [
 					for q := 0; q < p.KernelW; q++ {
 						iw := x*p.StrideW + q - p.PadW
 						if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-							m[base+i] = in.At(n, c, ih, iw)
+							m[base+i] = xs[(c*s.H+ih)*s.W+iw]
 						}
 						i++
 					}
@@ -203,7 +208,9 @@ func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	}
 
 	shift := make([]float32, s.C*spatial)
+	hw := s.H * s.W
 	for n := 0; n < s.N; n++ {
+		xs := in.Data()[n*s.C*hw : (n+1)*s.C*hw]
 		res := make([]float32, p.OutChannels*spatial)
 		for oc := 0; oc < p.OutChannels; oc++ {
 			b := bias[oc]
@@ -216,6 +223,7 @@ func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 			for q := 0; q < p.KernelW; q++ {
 				// Gather the shifted input view for offset (r,q).
 				parFor(s.C, workers, func(c int) {
+					xc := xs[c*hw : (c+1)*hw]
 					base := c * spatial
 					i := 0
 					for y := 0; y < os.H; y++ {
@@ -223,7 +231,7 @@ func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 						for x := 0; x < os.W; x++ {
 							iw := x*p.StrideW + q - p.PadW
 							if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-								shift[base+i] = in.At(n, c, ih, iw)
+								shift[base+i] = xc[ih*s.W+iw]
 							} else {
 								shift[base+i] = 0
 							}

@@ -61,20 +61,16 @@ func (m *CSR) ToDense() []float32 {
 }
 
 // MulMat computes C = M*B + C for dense row-major B (Cols x n) and
-// C (Rows x n) — a CSR-times-dense SpMM.
+// C (Rows x n) — a CSR-times-dense SpMM. Each C element adds its row's
+// stored products in ascending storage order (addRows forms them as
+// B*v; float32 multiplication commutes, so the bits are those of v*B).
 func (m *CSR) MulMat(n int, b, c []float32) {
 	if len(b) < m.Cols*n || len(c) < m.Rows*n {
 		panic("kernels: CSR MulMat operand too short")
 	}
 	for i := 0; i < m.Rows; i++ {
-		crow := c[i*n : i*n+n]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			v := m.Values[k]
-			brow := b[int(m.ColIdx[k])*n : int(m.ColIdx[k])*n+n]
-			for j := range crow {
-				crow[j] += v * brow[j]
-			}
-		}
+		k0, k1 := m.RowPtr[i], m.RowPtr[i+1]
+		addRows(c[i*n:i*n+n], m.Values[k0:k1], m.ColIdx[k0:k1], b)
 	}
 }
 

@@ -63,10 +63,13 @@ func (c ConvTuned) panelRows(oh int) int {
 func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
 	s := in.Shape()
 	cols := (y1 - y0) * ow
+	hw := s.H * s.W
+	xs := in.Data()[n*s.C*hw : (n+1)*s.C*hw]
 	parFor(y1-y0, workers, func(yy int) {
 		y := y0 + yy
 		row := 0
 		for c := 0; c < s.C; c++ {
+			xc := xs[c*hw : (c+1)*hw]
 			for r := 0; r < p.KernelH; r++ {
 				ih := y*p.StrideH + r - p.PadH
 				inRow := ih >= 0 && ih < s.H
@@ -75,7 +78,7 @@ func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers i
 					for x := 0; x < ow; x++ {
 						iw := x*p.StrideW + q - p.PadW
 						if inRow && iw >= 0 && iw < s.W {
-							m[base+x] = in.At(n, c, ih, iw)
+							m[base+x] = xc[ih*s.W+iw]
 						} else {
 							m[base+x] = 0
 						}
@@ -93,6 +96,8 @@ func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers i
 func im2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
 	s := in.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
+	hw := s.H * s.W
+	xs := in.Data()[n*s.C*hw : (n+1)*s.C*hw]
 	parFor(y1-y0, workers, func(yy int) {
 		y := y0 + yy
 		for x := 0; x < ow; x++ {
@@ -104,7 +109,7 @@ func im2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers i
 					for q := 0; q < p.KernelW; q++ {
 						iw := x*p.StrideW + q - p.PadW
 						if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-							m[base+i] = in.At(n, c, ih, iw)
+							m[base+i] = xs[(c*s.H+ih)*s.W+iw]
 						} else {
 							m[base+i] = 0
 						}

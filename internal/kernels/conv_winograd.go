@@ -61,8 +61,11 @@ func ConvWinogradPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 
 	tilesH := (os.H + 1) / 2
 	tilesW := (os.W + 1) / 2
+	hw := s.H * s.W
+	xs := in.Data()
 	parFor(s.N*p.OutChannels, workers, func(j int) {
 		n, oc := j/p.OutChannels, j%p.OutChannels
+		plane := out.Data()[j*os.H*os.W : (j+1)*os.H*os.W]
 		var d, v, m [16]float32
 		{
 			for ty := 0; ty < tilesH; ty++ {
@@ -71,13 +74,14 @@ func ConvWinogradPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 						m[i] = 0
 					}
 					for c := 0; c < s.C; c++ {
+						xc := xs[(n*s.C+c)*hw : (n*s.C+c+1)*hw]
 						// Load the 4x4 input tile (zero padded).
 						for y := 0; y < 4; y++ {
 							ih := ty*2 + y - p.PadH
 							for x := 0; x < 4; x++ {
 								iw := tx*2 + x - p.PadW
 								if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-									d[y*4+x] = in.At(n, c, ih, iw)
+									d[y*4+x] = xc[ih*s.W+iw]
 								} else {
 									d[y*4+x] = 0
 								}
@@ -120,14 +124,15 @@ func ConvWinogradPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 					y11 = rows[5] - rows[6] - rows[7]
 
 					oy, ox := ty*2, tx*2
-					out.Set(n, oc, oy, ox, y00+bias[oc])
+					o := oy*os.W + ox
+					plane[o] = y00 + bias[oc]
 					if ox+1 < os.W {
-						out.Set(n, oc, oy, ox+1, y01+bias[oc])
+						plane[o+1] = y01 + bias[oc]
 					}
 					if oy+1 < os.H {
-						out.Set(n, oc, oy+1, ox, y10+bias[oc])
+						plane[o+os.W] = y10 + bias[oc]
 						if ox+1 < os.W {
-							out.Set(n, oc, oy+1, ox+1, y11+bias[oc])
+							plane[o+os.W+1] = y11 + bias[oc]
 						}
 					}
 				}

@@ -30,14 +30,33 @@ func FCGemv(in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
 	return out
 }
 
+// strides returns the element strides of the n, c, h and w axes of t's
+// data slice, so a kernel that preserves its input's layout can index
+// the slice directly under either layout.
+func strides(t *tensor.Tensor) (sn, sc, sh, sw int) {
+	s := t.Shape()
+	switch t.Layout() {
+	case tensor.NCHW:
+		return s.C * s.H * s.W, s.H * s.W, s.W, 1
+	case tensor.NHWC:
+		return s.H * s.W * s.C, 1, s.W * s.C, s.C
+	default:
+		panic("kernels: unknown layout " + t.Layout().String())
+	}
+}
+
 // MaxPool computes spatial max pooling, preserving the input layout.
 // Padded positions never win the max (they are treated as -inf).
 func MaxPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, s.C, p), in.Layout())
 	os := out.Shape()
+	x, y := in.Data(), out.Data()
+	xn, xc, xh, xw := strides(in)
+	yn, yc, yh, yw := strides(out)
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
+			xp := x[n*xn+c*xc:]
 			for oh := 0; oh < os.H; oh++ {
 				for ow := 0; ow < os.W; ow++ {
 					best := float32(math.Inf(-1))
@@ -51,12 +70,12 @@ func MaxPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 							if iw < 0 || iw >= s.W {
 								continue
 							}
-							if v := in.At(n, c, ih, iw); v > best {
+							if v := xp[ih*xh+iw*xw]; v > best {
 								best = v
 							}
 						}
 					}
-					out.Set(n, c, oh, ow, best)
+					y[n*yn+c*yc+oh*yh+ow*yw] = best
 				}
 			}
 		}
@@ -71,8 +90,12 @@ func AvgPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 	out := tensor.New(convOutShape(s, s.C, p), in.Layout())
 	os := out.Shape()
 	area := float32(p.KernelH * p.KernelW)
+	x, y := in.Data(), out.Data()
+	xn, xc, xh, xw := strides(in)
+	yn, yc, yh, yw := strides(out)
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
+			xp := x[n*xn+c*xc:]
 			for oh := 0; oh < os.H; oh++ {
 				for ow := 0; ow < os.W; ow++ {
 					var sum float32
@@ -86,10 +109,10 @@ func AvgPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 							if iw < 0 || iw >= s.W {
 								continue
 							}
-							sum += in.At(n, c, ih, iw)
+							sum += xp[ih*xh+iw*xw]
 						}
 					}
-					out.Set(n, c, oh, ow, sum/area)
+					y[n*yn+c*yc+oh*yh+ow*yw] = sum / area
 				}
 			}
 		}
@@ -117,13 +140,24 @@ func BatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 		panic("kernels: batch-norm parameter size mismatch")
 	}
 	out := tensor.New(s, in.Layout())
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, in.At(n, c, h, w)*scale[c]+shift[c])
-				}
+	x, y := in.Data(), out.Data()
+	if in.Layout() == tensor.NHWC {
+		scale, shift = scale[:s.C], shift[:s.C]
+		for i := 0; i < len(y); i += s.C {
+			xp, yp := x[i:i+s.C], y[i:i+s.C]
+			for c := range yp {
+				yp[c] = xp[c]*scale[c] + shift[c]
 			}
+		}
+		return out
+	}
+	hw := s.H * s.W
+	for i := 0; i < len(y); i += hw {
+		c := i / hw % s.C
+		sc, sh := scale[c], shift[c]
+		xp, yp := x[i:i+hw], y[i:i+hw]
+		for j := range yp {
+			yp[j] = xp[j]*sc + sh
 		}
 	}
 	return out
@@ -139,21 +173,24 @@ func LRN(in *tensor.Tensor, size int) *tensor.Tensor {
 	)
 	s := in.Shape()
 	out := tensor.New(s, in.Layout())
+	x, y := in.Data(), out.Data()
+	sn, sc, sh, sw := strides(in)
 	half := size / 2
 	for n := 0; n < s.N; n++ {
 		for h := 0; h < s.H; h++ {
 			for w := 0; w < s.W; w++ {
+				px := n*sn + h*sh + w*sw
 				for c := 0; c < s.C; c++ {
 					var sq float64
 					for j := c - half; j <= c+half; j++ {
 						if j < 0 || j >= s.C {
 							continue
 						}
-						v := float64(in.At(n, j, h, w))
+						v := float64(x[px+j*sc])
 						sq += v * v
 					}
 					denom := math.Pow(k+alpha*sq/float64(size), beta)
-					out.Set(n, c, h, w, float32(float64(in.At(n, c, h, w))/denom))
+					y[px+c*sc] = float32(float64(x[px+c*sc]) / denom)
 				}
 			}
 		}
@@ -166,24 +203,27 @@ func LRN(in *tensor.Tensor, size int) *tensor.Tensor {
 func Softmax(in *tensor.Tensor) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(s, in.Layout())
+	x, y := in.Data(), out.Data()
+	sn, sc, sh, sw := strides(in)
+	exps := make([]float64, s.C)
 	for n := 0; n < s.N; n++ {
 		for h := 0; h < s.H; h++ {
 			for w := 0; w < s.W; w++ {
+				px := n*sn + h*sh + w*sw
 				maxv := float64(math.Inf(-1))
 				for c := 0; c < s.C; c++ {
-					if v := float64(in.At(n, c, h, w)); v > maxv {
+					if v := float64(x[px+c*sc]); v > maxv {
 						maxv = v
 					}
 				}
 				var sum float64
-				exps := make([]float64, s.C)
 				for c := 0; c < s.C; c++ {
-					e := math.Exp(float64(in.At(n, c, h, w)) - maxv)
+					e := math.Exp(float64(x[px+c*sc]) - maxv)
 					exps[c] = e
 					sum += e
 				}
 				for c := 0; c < s.C; c++ {
-					out.Set(n, c, h, w, float32(exps[c]/sum))
+					y[px+c*sc] = float32(exps[c] / sum)
 				}
 			}
 		}
@@ -210,19 +250,22 @@ func Concat(ins []*tensor.Tensor) *tensor.Tensor {
 		total += s.C
 	}
 	out := tensor.New(tensor.Shape{N: first.N, C: total, H: first.H, W: first.W}, ins[0].Layout())
+	y := out.Data()
+	// Each input is a run of equal blocks — one per sample in NCHW, one
+	// per pixel in NHWC — that lands at channel offset base of the
+	// matching output block.
+	blocks, unit := first.N, first.H*first.W
+	if out.Layout() == tensor.NHWC {
+		blocks, unit = first.N*first.H*first.W, 1
+	}
 	base := 0
 	for _, in := range ins {
-		s := in.Shape()
-		for n := 0; n < s.N; n++ {
-			for c := 0; c < s.C; c++ {
-				for h := 0; h < s.H; h++ {
-					for w := 0; w < s.W; w++ {
-						out.Set(n, base+c, h, w, in.At(n, c, h, w))
-					}
-				}
-			}
+		x, size := in.Data(), in.Shape().C*unit
+		for b := 0; b < blocks; b++ {
+			dst := (b*total + base) * unit
+			copy(y[dst:dst+size], x[b*size:(b+1)*size])
 		}
-		base += s.C
+		base += in.Shape().C
 	}
 	return out
 }

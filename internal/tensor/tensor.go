@@ -115,23 +115,39 @@ func (t *Tensor) Fill(v float32) {
 
 // ToLayout returns a tensor with identical logical contents in the
 // requested layout. If the layout already matches, the receiver is
-// returned unchanged (no copy).
+// returned unchanged (no copy). Each sample is a C x HW matrix in NCHW
+// and its transpose, HW x C, in NHWC, so a conversion transposes every
+// sample's block of the data slice.
 func (t *Tensor) ToLayout(l Layout) *Tensor {
 	if t.layout == l {
 		return t
 	}
-	out := New(t.shape, l)
 	s := t.shape
+	hw := s.H * s.W
+	rows, cols := s.C, hw
+	switch {
+	case t.layout == NCHW && l == NHWC:
+	case t.layout == NHWC && l == NCHW:
+		rows, cols = hw, s.C
+	default:
+		panic("tensor: unknown layout conversion " + t.layout.String() + " -> " + l.String())
+	}
+	out := New(s, l)
+	size := s.C * hw
 	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, t.At(n, c, h, w))
-				}
-			}
-		}
+		transpose(rows, cols, t.data[n*size:(n+1)*size], out.data[n*size:(n+1)*size])
 	}
 	return out
+}
+
+// transpose writes the transpose of row-major src (rows x cols) into
+// dst (cols x rows).
+func transpose(rows, cols int, src, dst []float32) {
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
+		}
+	}
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference

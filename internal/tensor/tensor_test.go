@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +193,58 @@ func TestLayoutString(t *testing.T) {
 	}
 	if Layout(99).String() != "Layout(?)" {
 		t.Error("unknown layout name wrong")
+	}
+}
+
+// refToLayout converts one element at a time through At/Set: the
+// oracle for ToLayout's per-sample transposes.
+func refToLayout(t *Tensor, l Layout) *Tensor {
+	out := New(t.shape, l)
+	s := t.shape
+	for n := 0; n < s.N; n++ {
+		for c := 0; c < s.C; c++ {
+			for h := 0; h < s.H; h++ {
+				for w := 0; w < s.W; w++ {
+					out.Set(n, c, h, w, t.At(n, c, h, w))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestToLayoutMatchesPerElementReference pins both conversion
+// directions to the per-element reference bit for bit, on shapes that
+// cross the transpose's tile edges (C or HW above 32, ragged tails),
+// and checks that a round trip restores the original bits.
+func TestToLayoutMatchesPerElementReference(t *testing.T) {
+	bits := func(a *Tensor) []uint32 {
+		b := make([]uint32, len(a.data))
+		for i, v := range a.data {
+			b[i] = math.Float32bits(v)
+		}
+		return b
+	}
+	shapes := []Shape{{1, 1, 1, 1}, {2, 1, 5, 7}, {1, 3, 1, 1}, {2, 40, 7, 5}, {1, 33, 9, 9}, {3, 64, 2, 17}}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 30; i++ {
+		shapes = append(shapes, Shape{rng.Intn(3) + 1, rng.Intn(70) + 1, rng.Intn(12) + 1, rng.Intn(12) + 1})
+	}
+	for _, s := range shapes {
+		for _, from := range Layouts() {
+			to := NHWC
+			if from == NHWC {
+				to = NCHW
+			}
+			a := New(s, from)
+			a.FillRandom(rng, 1)
+			got, want := a.ToLayout(to), refToLayout(a, to)
+			if got.Layout() != to || !reflect.DeepEqual(bits(got), bits(want)) {
+				t.Fatalf("%v %v->%v differs from the per-element reference", s, from, to)
+			}
+			if back := got.ToLayout(from); !reflect.DeepEqual(bits(back), bits(a)) {
+				t.Fatalf("%v %v->%v->%v round trip changed bits", s, from, to, from)
+			}
+		}
 	}
 }
